@@ -1,0 +1,35 @@
+#!/usr/bin/env python3
+"""Builds the benchmark package and runs one workload.
+
+    python3 perfbench/run.py --workload <name> --seed <n> --seconds <s> --trace <0|1>
+
+Run from the repository root. The package is built in release mode,
+offline, into $CARGO_TARGET_DIR (default: .bench_build); cargo's output
+goes to standard error, so the last line of standard output is the
+workload's JSON result.
+"""
+
+import os
+import subprocess
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+
+
+def main():
+    env = dict(os.environ)
+    target = os.path.abspath(env.get("CARGO_TARGET_DIR") or ".bench_build")
+    env["CARGO_TARGET_DIR"] = target
+    build = subprocess.run(
+        ["cargo", "build", "--release", "--offline", "--quiet",
+         "--manifest-path", os.path.join(HERE, "Cargo.toml")],
+        env=env, stdout=sys.stderr, check=False)
+    if build.returncode != 0:
+        print("perfbench: build failed", file=sys.stderr)
+        return build.returncode or 1
+    exe = os.path.join(target, "release", "perfbench")
+    return subprocess.run([exe] + sys.argv[1:], env=env, check=False).returncode
+
+
+if __name__ == "__main__":
+    sys.exit(main())
